@@ -36,14 +36,30 @@
 //! `DISE_ACF_SELECT=v1|v2` picks the process-wide default the named
 //! constructors use; [`CompressionConfig::with_select`] pins it per
 //! configuration.
+//!
+//! Both algorithms read one interned window table: every in-block window
+//! is canonicalized once, one instruction at a time along a prefix trie,
+//! and its shape gets a dense id. v2's pair merging runs over those ids,
+//! with pair counts and a max-queue kept up to date across rounds, so a
+//! round touches only the occurrences of the pair it merges. The output
+//! is a pure function of the program and the configuration.
+//!
+//! With a `dise_obs` session installed, `acf.compress` spans time the
+//! phases (`.windows`, `.merge`, `.cover`, `.search`, `.emit`). Without a
+//! session the spans are inert.
 
 use crate::{AcfError, Result};
-use dise_core::{ImmDirective, InstSpec, OpDirective, ProductionSet, RegDirective, ReplacementSpec};
+use dise_core::{
+    ImmDirective, InstSpec, OpDirective, ProductionSet, RegDirective, ReplacementSpec,
+};
+use dise_isa::op::Format;
 use dise_isa::reloc::{NewItem, Relocator};
-use dise_isa::{Cfg, Inst, Op, OpClass, Program, TextItem};
+use dise_isa::{Cfg, Inst, Op, OpClass, Program, Reg, TextItem};
 use dise_sim::telemetry::StatsRegistry;
 use dise_sim::DedicatedDict;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Which codeword-selection algorithm [`Compressor::compress`] runs. See
 /// the module docs.
@@ -325,8 +341,6 @@ impl CompressedProgram {
 struct Instance {
     /// Index of the first instruction (into the flat instruction list).
     start: usize,
-    /// PC of the first instruction.
-    pc: u64,
     /// Codeword parameters.
     params: [u8; 3],
     /// For branch-compressed shapes: the branch's original absolute
@@ -337,17 +351,513 @@ struct Instance {
 #[derive(Debug, Default)]
 struct ShapeData {
     len: usize,
-    parameterized: bool,
     instances: Vec<Instance>,
 }
 
 /// A chosen dictionary: the canonical shape table plus, per selected
 /// entry, its tag and the claimed (non-overlapping) instances.
-type Selection = (Vec<(Vec<InstSpec>, ShapeData)>, Vec<(u16, usize, Vec<Instance>)>);
+type Selection = (
+    Vec<(Vec<InstSpec>, ShapeData)>,
+    Vec<(u16, usize, Vec<Instance>)>,
+);
 
 /// One block's optimal cover under the active entry set: the realized
 /// byte savings and the placed instances as (position, length, shape id).
 type BlockCover = (i64, Vec<(usize, u32, u32)>);
+
+/// Marks an absent shape id, symbol or token neighbor.
+const NONE: u32 = u32::MAX;
+
+/// FxHash-style word hasher for the compressor's interning maps. Their
+/// keys are a few small integer fields, where SipHash costs most of
+/// each lookup. The keys come from the program being compressed, so a
+/// program crafted to collide can only slow its own compression.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v.into());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// What one codeword parameter slot carries while a window is being
+/// canonicalized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Free,
+    Reg(Reg),
+    Imm(i64),
+    /// Half of a terminating branch's fused displacement field.
+    Branch,
+}
+
+/// Canonicalization state of one candidate window, extended one
+/// instruction at a time: the codeword parameters allocated so far,
+/// first come first served. An instruction's spec depends only on the
+/// instructions before it, so a window's shape is its prefix's shape
+/// plus one spec — except for a terminating PC-relative branch, whose
+/// short displacement claims parameters 1 and 2 before anything else
+/// (see [`Canon::branch_window`]).
+#[derive(Debug, Clone, Copy)]
+struct Canon {
+    slots: [Slot; 3],
+    params: [u8; 3],
+}
+
+impl Canon {
+    fn new() -> Canon {
+        Canon {
+            slots: [Slot::Free; 3],
+            params: [0; 3],
+        }
+    }
+
+    fn find(&self, what: Slot) -> Option<u8> {
+        self.slots.iter().position(|s| *s == what).map(|s| s as u8)
+    }
+
+    fn reg(&mut self, cfg: &CompressionConfig, r: Reg) -> RegDirective {
+        if !cfg.parameterize || r.is_zero() {
+            return RegDirective::Literal(r);
+        }
+        if let Some(slot) = self.find(Slot::Reg(r)) {
+            return RegDirective::Param(slot);
+        }
+        match self.find(Slot::Free) {
+            Some(slot) => {
+                self.slots[slot as usize] = Slot::Reg(r);
+                self.params[slot as usize] = r.index() as u8;
+                RegDirective::Param(slot)
+            }
+            None => RegDirective::Literal(r),
+        }
+    }
+
+    /// Small memory displacements and operate literals become parameters
+    /// (shared between equal values); everything else stays literal.
+    fn imm(&mut self, cfg: &CompressionConfig, inst: &Inst) -> ImmDirective {
+        let literal = ImmDirective::Literal(inst.imm);
+        if !cfg.parameterize
+            || inst.imm == 0
+            || !matches!(inst.op.format(), Format::Memory | Format::Operate)
+        {
+            return literal;
+        }
+        let (lo, hi, signed) = if inst.uses_lit {
+            (1, 31, false) // operate literals are unsigned
+        } else {
+            (-16, 15, true)
+        };
+        if !(lo..=hi).contains(&inst.imm) {
+            return literal;
+        }
+        let slot = match self.find(Slot::Imm(inst.imm)) {
+            Some(slot) => slot,
+            None => match self.find(Slot::Free) {
+                Some(slot) => {
+                    self.slots[slot as usize] = Slot::Imm(inst.imm);
+                    self.params[slot as usize] = (inst.imm & 31) as u8;
+                    slot
+                }
+                None => return literal,
+            },
+        };
+        ImmDirective::Param {
+            slot,
+            shift: 0,
+            signed,
+        }
+    }
+
+    /// Canonicalizes the window's next instruction. `imm` overrides the
+    /// immediate directive (a terminating branch's displacement); the
+    /// immediate's parameter is allocated before the registers'.
+    fn push(
+        &mut self,
+        cfg: &CompressionConfig,
+        inst: &Inst,
+        imm: Option<ImmDirective>,
+    ) -> InstSpec {
+        let imm = match imm {
+            Some(imm) => imm,
+            None => self.imm(cfg, inst),
+        };
+        let ra = self.reg(cfg, inst.ra);
+        let rb = self.reg(cfg, inst.rb);
+        let rc = self.reg(cfg, inst.rc);
+        InstSpec::Templated {
+            op: OpDirective::Literal(inst.op),
+            ra,
+            rb,
+            rc,
+            imm,
+            uses_lit: inst.uses_lit,
+            dise_branch: false,
+        }
+    }
+
+    /// Canonicalizes a whole window ending in a PC-relative branch,
+    /// returning its specs, final state and (short form only) the
+    /// branch's absolute target.
+    ///
+    /// The branch is parameterized one of two ways. Short offsets go
+    /// into a fused two-parameter field (the displacement relative to the
+    /// planted codeword — the whole sequence collapses to one
+    /// instruction). Long offsets that all point at one shared absolute
+    /// target (error handlers, common call targets) instead use an
+    /// `AbsTarget` directive: the IL computes the displacement from the
+    /// trigger's PC at expansion time, so sites at different addresses
+    /// still share one dictionary entry.
+    fn branch_window(
+        cfg: &CompressionConfig,
+        window: &[(u64, Inst)],
+    ) -> (Vec<InstSpec>, Canon, Option<u64>) {
+        let last = window.len() - 1;
+        let (pc, branch) = window[last];
+        let target = (pc + 4).wrapping_add_signed(branch.imm);
+        let disp = target as i64 - (window[0].0 as i64 + 4);
+        let mut canon = Canon::new();
+        let (imm, branch_target) = if (-(1 << 11)..(1 << 11)).contains(&disp) && disp % 4 == 0 {
+            let d10 = ((disp >> 2) & 0x3FF) as u32;
+            canon.slots[1] = Slot::Branch;
+            canon.slots[2] = Slot::Branch;
+            canon.params[1] = (d10 & 31) as u8;
+            canon.params[2] = ((d10 >> 5) & 31) as u8;
+            let field = ImmDirective::Param2 {
+                lo: 1,
+                hi: 2,
+                shift: 2,
+                signed: true,
+            };
+            (field, Some(target))
+        } else {
+            // The entry carries the *original* absolute target; it is
+            // remapped to the post-layout address when the dictionary is
+            // built.
+            (ImmDirective::AbsTarget(target), None)
+        };
+        let mut specs = Vec::with_capacity(window.len());
+        for (i, (_, inst)) in window.iter().enumerate() {
+            specs.push(canon.push(cfg, inst, (i == last).then_some(imm)));
+        }
+        (specs, canon, branch_target)
+    }
+
+    /// Debug builds check that instantiating `specs` (the tail of a
+    /// window starting at `first_pc`) against the would-be codeword
+    /// recreates the original instructions exactly — a terminating
+    /// branch by its target.
+    fn verify(
+        &self,
+        cfg: &CompressionConfig,
+        specs: &[InstSpec],
+        tail: &[(u64, Inst)],
+        first_pc: u64,
+        branch: bool,
+    ) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let [p1, p2, p3] = self.params;
+        let cw = Inst::codeword(cfg.cw_op, p1, p2, p3, 0);
+        let trigger = if cfg.parameterize || branch {
+            cw
+        } else {
+            Inst::nop()
+        };
+        for (i, (s, (pc, orig))) in specs.iter().zip(tail).enumerate() {
+            let inst = s
+                .instantiate(&trigger, first_pc)
+                .expect("shape instantiation");
+            let ok = if branch && i == tail.len() - 1 {
+                (first_pc + 4).wrapping_add_signed(inst.imm)
+                    == (pc + 4).wrapping_add_signed(orig.imm)
+            } else {
+                inst == *orig
+            };
+            assert!(
+                ok,
+                "spec {s} gave {inst}, expected {orig} (window pc {first_pc:#x})"
+            );
+        }
+    }
+}
+
+/// One in-block window: its shape id ([`NONE`] if not compressible under
+/// the configuration) and the instance data a codeword would carry.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    shape: u32,
+    params: [u8; 3],
+    branch_target: Option<u64>,
+}
+
+/// Every in-block window of `1..=max_seq_len` instructions, enumerated
+/// once per compression, with its canonical shape interned as a dense
+/// `u32` id. Interning walks a prefix trie keyed `(parent id, spec)`, so
+/// extending a window by one instruction is one canonicalization step
+/// and one hash lookup; windows ending in a PC-relative branch are
+/// canonicalized whole. Both selection algorithms read their candidates
+/// from it, and pair merging looks merged spans up in it.
+struct WindowTable {
+    max_len: usize,
+    /// Window `(start, len)` lives at `start * max_len + len - 1`.
+    windows: Vec<Window>,
+    /// Per shape id: length in instructions.
+    shape_len: Vec<u32>,
+    /// Per shape id: number of windows with that shape.
+    count: Vec<u32>,
+    /// Per shape id: start of its first (lowest-start) window.
+    first: Vec<u32>,
+}
+
+impl WindowTable {
+    fn build(cfg: &CompressionConfig, graph: &Cfg, num_insts: usize) -> WindowTable {
+        let max_len = cfg.max_seq_len;
+        let mut table = WindowTable {
+            max_len,
+            windows: vec![
+                Window {
+                    shape: NONE,
+                    params: [0; 3],
+                    branch_target: None,
+                };
+                num_insts * max_len
+            ],
+            shape_len: Vec::new(),
+            count: Vec::new(),
+            first: Vec::new(),
+        };
+        let mut trie: WordMap<(u32, InstSpec), u32> =
+            WordMap::with_capacity_and_hasher(num_insts * 2, Default::default());
+        let mut base = 0usize;
+        for block in &graph.blocks {
+            let n = block.insts.len();
+            for start in 0..n {
+                let mut canon = Canon::new();
+                let mut shape = NONE;
+                for len in 1..=max_len.min(n - start) {
+                    let window = &block.insts[start..start + len];
+                    let (_, inst) = window[len - 1];
+                    // Eligibility: branches and jumps only terminate a
+                    // window, so each class also ends the extension.
+                    match inst.op.class() {
+                        OpClass::Codeword | OpClass::Misc => break,
+                        OpClass::CondBranch | OpClass::UncondBranch => {
+                            if cfg.compress_branches {
+                                let (specs, canon, target) = Canon::branch_window(cfg, window);
+                                canon.verify(cfg, &specs, window, window[0].0, true);
+                                let id = specs.into_iter().fold(NONE, |parent, spec| {
+                                    table.intern(&mut trie, parent, spec)
+                                });
+                                table.record(base + start, len, id, canon.params, target);
+                            }
+                            break;
+                        }
+                        OpClass::IndirectJump if !cfg.allow_jumps => break,
+                        _ => {}
+                    }
+                    let spec = canon.push(cfg, &inst, None);
+                    canon.verify(
+                        cfg,
+                        std::slice::from_ref(&spec),
+                        &window[len - 1..],
+                        window[0].0,
+                        false,
+                    );
+                    shape = table.intern(&mut trie, shape, spec);
+                    table.record(base + start, len, shape, canon.params, None);
+                    if inst.op.class() == OpClass::IndirectJump {
+                        break;
+                    }
+                }
+            }
+            base += n;
+        }
+        table
+    }
+
+    /// The id of the shape `parent`'s specs followed by `spec`
+    /// ([`NONE`] is the empty shape), allocated on first sight.
+    fn intern(
+        &mut self,
+        trie: &mut WordMap<(u32, InstSpec), u32>,
+        parent: u32,
+        spec: InstSpec,
+    ) -> u32 {
+        let next = self.shape_len.len() as u32;
+        let id = *trie.entry((parent, spec)).or_insert(next);
+        if id == next {
+            let parent_len = if parent == NONE {
+                0
+            } else {
+                self.shape_len[parent as usize]
+            };
+            self.shape_len.push(parent_len + 1);
+            self.count.push(0);
+            self.first.push(NONE);
+        }
+        id
+    }
+
+    fn record(
+        &mut self,
+        start: usize,
+        len: usize,
+        shape: u32,
+        params: [u8; 3],
+        branch_target: Option<u64>,
+    ) {
+        self.windows[start * self.max_len + len - 1] = Window {
+            shape,
+            params,
+            branch_target,
+        };
+        let s = shape as usize;
+        self.count[s] += 1;
+        if self.first[s] == NONE {
+            self.first[s] = start as u32;
+        }
+    }
+
+    fn num_shapes(&self) -> usize {
+        self.shape_len.len()
+    }
+
+    /// The shape of in-block window `(start, len)`, if compressible.
+    fn shape(&self, start: usize, len: usize) -> Option<u32> {
+        if len > self.max_len {
+            return None;
+        }
+        let w = self.windows[start * self.max_len + len - 1];
+        (w.shape != NONE).then_some(w.shape)
+    }
+}
+
+/// Adjacent-token pair statistics for pair merging, kept across rounds.
+#[derive(Debug, Default)]
+struct PairStat {
+    /// Live occurrences.
+    count: u32,
+    /// Left-token positions of occurrences, appended as they appear;
+    /// entries go stale when a token merges and are rechecked on use.
+    occ: Vec<u32>,
+    /// The pair was chosen and no occurrence could merge.
+    banned: bool,
+}
+
+/// The token streams of pair merging (one per basic block) over the flat
+/// instruction list, with incrementally maintained pair counts. A token
+/// is addressed by its first instruction; merging a pair rewrites only
+/// that token and recounts the pairs on either side of it.
+struct Tokens {
+    max_len: usize,
+    /// Per position: the symbol of the token starting there.
+    sym: Vec<u32>,
+    /// Per position: token length (0 inside a merged token).
+    len: Vec<u32>,
+    /// Per position: the previous token in the block ([`NONE`] first).
+    prev: Vec<u32>,
+    /// Per position: one past the end of its block.
+    end: Vec<u32>,
+    pairs: WordMap<(u32, u32), PairStat>,
+    /// Pairs by `(count, Reverse(a), Reverse(b))`, pushed whenever a
+    /// count changes to two or more; entries whose count is no longer
+    /// current are stale and skipped.
+    queue: BinaryHeap<(u32, Reverse<u32>, Reverse<u32>)>,
+}
+
+impl Tokens {
+    fn next(&self, p: usize) -> Option<usize> {
+        let q = p + self.len[p] as usize;
+        (q < self.end[p] as usize).then_some(q)
+    }
+
+    /// The countable pair starting at live token `p`.
+    fn pair_at(&self, p: usize) -> Option<(u32, u32)> {
+        let q = self.next(p)?;
+        ((self.len[p] + self.len[q]) as usize <= self.max_len).then(|| (self.sym[p], self.sym[q]))
+    }
+
+    /// Counts the pair starting at token `p` in (`add`) or out.
+    fn count(&mut self, p: usize, add: bool) {
+        let Some(key) = self.pair_at(p) else {
+            return;
+        };
+        let stat = self.pairs.entry(key).or_default();
+        if add {
+            stat.count += 1;
+            stat.occ.push(p as u32);
+        } else {
+            stat.count -= 1;
+        }
+        if stat.count >= 2 && !stat.banned {
+            self.queue
+                .push((stat.count, Reverse(key.0), Reverse(key.1)));
+        }
+    }
+
+    /// The most frequent unbanned pair occurring at least twice, ties to
+    /// the lowest symbols.
+    fn best(&mut self) -> Option<(u32, u32)> {
+        while let Some((count, Reverse(a), Reverse(b))) = self.queue.pop() {
+            let stat = &self.pairs[&(a, b)];
+            if stat.count == count && !stat.banned {
+                return Some((a, b));
+            }
+        }
+        None
+    }
+
+    /// Joins live token `p` with its successor into one token of symbol
+    /// `sym`.
+    fn merge(&mut self, p: usize, sym: u32) {
+        let q = self.next(p).expect("merged pairs have a right token");
+        let before = self.prev[p];
+        if before != NONE {
+            self.count(before as usize, false);
+        }
+        self.count(p, false);
+        self.count(q, false);
+        self.sym[p] = sym;
+        self.len[p] += self.len[q];
+        self.len[q] = 0;
+        if let Some(r) = self.next(p) {
+            self.prev[r] = p as u32;
+        }
+        if before != NONE {
+            self.count(before as usize, true);
+        }
+        self.count(p, true);
+    }
+}
 
 /// The dictionary compressor. See the module docs.
 #[derive(Debug, Clone)]
@@ -381,6 +891,7 @@ impl Compressor {
                 cfg.entry_cap()
             )));
         }
+        let _compress_span = dise_obs::span::enter("acf.compress", "");
         let graph = Cfg::build(program)?;
         let insts: Vec<(u64, Inst)> = graph
             .blocks
@@ -388,17 +899,23 @@ impl Compressor {
             .flat_map(|b| b.insts.iter().copied())
             .collect();
 
-        let (shape_list, selected) = match cfg.select {
-            SelectAlgo::V1 => self.select_v1(&graph, insts.len()),
-            SelectAlgo::V2 => self.select_v2(&graph, &insts),
+        let table = {
+            let _span = dise_obs::span::enter("acf.compress.windows", "");
+            WindowTable::build(cfg, &graph, insts.len())
         };
+        let (shape_list, selected) = match cfg.select {
+            SelectAlgo::V1 => self.select_v1(&table, &insts),
+            SelectAlgo::V2 => self.select_v2(&graph, &insts, &table),
+        };
+        drop(table);
 
         // ---- emission ---------------------------------------------------
-        let mut starts: HashMap<usize, (u16, Instance, usize)> = HashMap::new();
+        let _span = dise_obs::span::enter("acf.compress.emit", "");
+        let mut starts: Vec<Option<(u16, Instance, usize)>> = vec![None; insts.len()];
         for (tag, sid, taken) in &selected {
             let len = shape_list[*sid].1.len;
             for inst in taken {
-                starts.insert(inst.start, (*tag, *inst, len));
+                starts[inst.start] = Some((*tag, *inst, len));
             }
         }
         let mut relocator = Relocator::new(program)?;
@@ -406,7 +923,7 @@ impl Compressor {
         let mut codeword_spans: Vec<(usize, u16, Instance)> = Vec::new();
         let mut i = 0usize;
         while i < insts.len() {
-            if let Some((tag, inst, len)) = starts.get(&i).copied() {
+            if let Some((tag, inst, len)) = starts[i] {
                 let item = if cfg.two_byte_codewords {
                     TextItem::Short(tag)
                 } else {
@@ -530,47 +1047,68 @@ impl Compressor {
         })
     }
 
-    /// Enumerates every in-block window of `min_seq_len..=max_seq_len`
-    /// instructions and groups the compressible ones by canonical shape.
-    fn enumerate_windows(&self, graph: &Cfg) -> HashMap<Vec<InstSpec>, ShapeData> {
-        let cfg = &self.config;
-        let mut shapes: HashMap<Vec<InstSpec>, ShapeData> = HashMap::new();
-        let mut idx_base = 0usize;
-        for block in &graph.blocks {
-            let n = block.insts.len();
-            for start in 0..n {
-                for len in cfg.min_seq_len..=cfg.max_seq_len.min(n - start) {
-                    let window = &block.insts[start..start + len];
-                    if let Some((specs, instance)) = self.shape_of(window, idx_base + start) {
-                        let data = shapes.entry(specs).or_default();
-                        data.len = len;
-                        data.instances.push(instance);
-                    }
-                }
-            }
-            idx_base += n;
-        }
-        shapes
-    }
-
-    /// Orders a shape table deterministically (longest, then most
+    /// The candidate table: every shape of at least `min_seq_len`
+    /// instructions that `keep` admits, with its specs and all its
+    /// instances by start, ordered deterministically (longest, then most
     /// frequent, then earliest) so dictionaries reproduce byte-for-byte.
-    fn sorted_shape_list(
-        shapes: HashMap<Vec<InstSpec>, ShapeData>,
+    /// Specs are rebuilt from each shape's first window, only for the
+    /// shapes kept.
+    fn shape_list(
+        &self,
+        table: &WindowTable,
+        insts: &[(u64, Inst)],
+        keep: impl Fn(usize) -> bool,
     ) -> Vec<(Vec<InstSpec>, ShapeData)> {
-        let mut shape_list: Vec<(Vec<InstSpec>, ShapeData)> = shapes.into_iter().collect();
-        shape_list.sort_by_key(|(_, d)| {
+        let cfg = &self.config;
+        let mut ids: Vec<usize> = (0..table.num_shapes())
+            .filter(|&id| {
+                table.count[id] > 0 && table.shape_len[id] as usize >= cfg.min_seq_len && keep(id)
+            })
+            .collect();
+        ids.sort_unstable_by_key(|&id| {
             (
-                usize::MAX - d.len,
-                usize::MAX - d.instances.len(),
-                d.instances.first().map(|i| i.pc).unwrap_or(0),
+                Reverse(table.shape_len[id]),
+                Reverse(table.count[id]),
+                insts[table.first[id] as usize].0,
             )
         });
-        for (_, d) in &mut shape_list {
-            d.parameterized = d.len > 0;
-            d.instances.sort_by_key(|i| i.start);
+        let mut sid_of = vec![NONE; table.num_shapes()];
+        let mut list = Vec::with_capacity(ids.len());
+        for (sid, &id) in ids.iter().enumerate() {
+            sid_of[id] = sid as u32;
+            let start = table.first[id] as usize;
+            let len = table.shape_len[id] as usize;
+            let window = &insts[start..start + len];
+            let specs = if matches!(
+                window[len - 1].1.op.class(),
+                OpClass::CondBranch | OpClass::UncondBranch
+            ) {
+                Canon::branch_window(cfg, window).0
+            } else {
+                let mut canon = Canon::new();
+                window
+                    .iter()
+                    .map(|(_, inst)| canon.push(cfg, inst, None))
+                    .collect()
+            };
+            let data = ShapeData {
+                len,
+                instances: Vec::with_capacity(table.count[id] as usize),
+            };
+            list.push((specs, data));
         }
-        shape_list
+        for (ix, w) in table.windows.iter().enumerate() {
+            if w.shape == NONE || sid_of[w.shape as usize] == NONE {
+                continue;
+            }
+            let data = &mut list[sid_of[w.shape as usize] as usize].1;
+            data.instances.push(Instance {
+                start: ix / table.max_len,
+                params: w.params,
+                branch_target: w.branch_target,
+            });
+        }
+        list
     }
 
     /// Lazy-greedy dictionary-entry selection (the \[20\]-style pass):
@@ -594,19 +1132,17 @@ impl Compressor {
                 if inst.start < next_free {
                     continue; // overlaps an instance already counted
                 }
-                if claimed[inst.start..inst.start + data.len].iter().any(|c| *c) {
+                if claimed[inst.start..inst.start + data.len]
+                    .iter()
+                    .any(|c| *c)
+                {
                     continue;
                 }
                 k += 1;
                 next_free = inst.start + data.len;
             }
-            let param_entry = {
-                // Entry cost: parameterized entries cost 8 bytes per
-                // instruction; plain ones cfg.entry_bytes_per_inst.
-                cfg.entry_bytes_per_inst
-            };
             let saving = k as i64 * (data.len as i64 * 4 - cw_bytes as i64);
-            let cost = data.len as i64 * param_entry as i64;
+            let cost = data.len as i64 * cfg.entry_bytes_per_inst as i64;
             (saving - cost, k)
         };
 
@@ -642,7 +1178,9 @@ impl Compressor {
             let mut next_free = 0usize;
             for inst in &data.instances {
                 if inst.start < next_free
-                    || claimed[inst.start..inst.start + data.len].iter().any(|c| *c)
+                    || claimed[inst.start..inst.start + data.len]
+                        .iter()
+                        .any(|c| *c)
                 {
                     continue;
                 }
@@ -659,14 +1197,23 @@ impl Compressor {
         selected
     }
 
-    /// v1 selection: full window enumeration, then one greedy pass. Tags
+    /// v1 selection: the full window table, then one greedy pass. Tags
     /// follow selection order.
-    fn select_v1(&self, graph: &Cfg, num_insts: usize) -> Selection {
-        let shape_list = Self::sorted_shape_list(self.enumerate_windows(graph));
-        let mut claimed = vec![false; num_insts];
+    fn select_v1(&self, table: &WindowTable, insts: &[(u64, Inst)]) -> Selection {
+        let _span = dise_obs::span::enter("acf.compress.cover", "");
+        let cfg = &self.config;
+        // A shape seen once is never picked unless one replacement pays
+        // for its whole entry; dropping the rest keeps the relative order
+        // of every shape the greedy pass can see, hence every tie-break.
+        let lone_pays =
+            |len: u32| len as i64 * (4 - cfg.entry_bytes_per_inst as i64) > cfg.cw_bytes() as i64;
+        let shape_list = self.shape_list(table, insts, |id| {
+            table.count[id] >= 2 || lone_pays(table.shape_len[id])
+        });
+        let mut claimed = vec![false; insts.len()];
         let skip = vec![false; shape_list.len()];
         let selected = self
-            .greedy_entries(&shape_list, &mut claimed, &skip, self.config.max_entries)
+            .greedy_entries(&shape_list, &mut claimed, &skip, cfg.max_entries)
             .into_iter()
             .enumerate()
             .map(|(tag, (sid, taken))| (tag as u16, sid, taken))
@@ -682,16 +1229,15 @@ impl Compressor {
     /// prune/grow fixpoint, with a per-block weighted-interval dynamic
     /// program choosing the best non-conflicting cover each round. Tags
     /// follow first planted position.
-    fn select_v2(&self, graph: &Cfg, insts: &[(u64, Inst)]) -> Selection {
+    fn select_v2(&self, graph: &Cfg, insts: &[(u64, Inst)], table: &WindowTable) -> Selection {
         let cfg = &self.config;
         let num_insts = insts.len();
-        let proposals = self.merge_candidates(graph, insts);
-        let shapes: HashMap<Vec<InstSpec>, ShapeData> = self
-            .enumerate_windows(graph)
-            .into_iter()
-            .filter(|(shape, d)| d.instances.len() >= 2 || proposals.contains(shape))
-            .collect();
-        let shape_list = Self::sorted_shape_list(shapes);
+        let proposals = {
+            let _span = dise_obs::span::enter("acf.compress.merge", "");
+            self.merge_candidates(graph, insts, table)
+        };
+        let cover_span = dise_obs::span::enter("acf.compress.cover", "");
+        let shape_list = self.shape_list(table, insts, |id| table.count[id] >= 2 || proposals[id]);
 
         // LPM occurrence index: every candidate match, keyed by start
         // position, longest (lowest sid) first.
@@ -713,10 +1259,15 @@ impl Compressor {
         // Optimal non-conflicting cover of one block by the active
         // entries (weighted-interval DP, maximizing code bytes saved).
         // Ties prefer fewer codewords, then longer/more frequent shapes.
-        let dp_block = |bi: usize, active: &[bool]| -> BlockCover {
+        // `scratch` holds the DP tables, reused across calls.
+        type DpScratch = (Vec<i64>, Vec<Option<(u32, u32)>>);
+        let dp_block = |bi: usize, active: &[bool], scratch: &mut DpScratch| -> BlockCover {
             let (s, n) = block_ranges[bi];
-            let mut best = vec![0i64; n + 1];
-            let mut take: Vec<Option<(u32, u32)>> = vec![None; n];
+            let (best, take) = scratch;
+            best.clear();
+            best.resize(n + 1, 0);
+            take.clear();
+            take.resize(n, None);
             for i in (0..n).rev() {
                 best[i] = best[i + 1];
                 for &(len, sid) in &matches_at[s + i] {
@@ -742,9 +1293,10 @@ impl Compressor {
             }
             (best[0], cover)
         };
-        let dp_cover = |active: &[bool]| -> Vec<(usize, u32, u32)> {
+        let mut scratch: DpScratch = (Vec::new(), Vec::new());
+        let mut dp_cover = |active: &[bool]| -> Vec<(usize, u32, u32)> {
             (0..block_ranges.len())
-                .flat_map(|bi| dp_block(bi, active).1)
+                .flat_map(|bi| dp_block(bi, active, &mut scratch).1)
                 .collect()
         };
 
@@ -800,6 +1352,8 @@ impl Compressor {
             cover = dp_cover(&active);
         }
         drop(cover);
+        drop(cover_span);
+        let _search_span = dise_obs::span::enter("acf.compress.search", "");
 
         // Final refinement: single-entry add/drop local search on the
         // true byte objective (realized code savings minus the dictionary
@@ -823,7 +1377,7 @@ impl Compressor {
             }
         }
         let mut covers: Vec<BlockCover> = (0..block_ranges.len())
-            .map(|bi| dp_block(bi, &active))
+            .map(|bi| dp_block(bi, &active, &mut scratch))
             .collect();
         let mut uses: Vec<i64> = vec![0; shape_list.len()];
         for (_, c) in &covers {
@@ -831,6 +1385,12 @@ impl Compressor {
                 uses[sid as usize] += 1;
             }
         }
+        let mut used_now = uses.iter().filter(|u| **u > 0).count() as i64;
+        // Per-flip buffers: the trial covers, and the use-count change of
+        // each entry they touch (dense, reset after every flip).
+        let mut trial: Vec<(usize, BlockCover)> = Vec::new();
+        let mut delta_uses: Vec<i64> = vec![0; shape_list.len()];
+        let mut touched: Vec<u32> = Vec::new();
         for _pass in 0..8 {
             let mut improved = false;
             for sid in 0..shape_list.len() {
@@ -844,29 +1404,29 @@ impl Compressor {
                     active[sid] = false;
                     continue;
                 }
-                if !active[sid]
-                    && save(d.len as u32) * d.instances.len() as i64 <= entry_cost(sid)
+                if !active[sid] && save(d.len as u32) * d.instances.len() as i64 <= entry_cost(sid)
                 {
                     continue; // cannot pay for itself even unopposed
                 }
                 active[sid] = !active[sid];
-                let trial: Vec<(usize, BlockCover)> = blocks_of[sid]
-                    .iter()
-                    .map(|&bi| (bi, dp_block(bi, &active)))
-                    .collect();
+                trial.clear();
+                trial.extend(
+                    blocks_of[sid]
+                        .iter()
+                        .map(|&bi| (bi, dp_block(bi, &active, &mut scratch))),
+                );
                 let mut delta = 0i64;
-                let mut delta_uses: HashMap<u32, i64> = HashMap::new();
                 for (bi, (v, c)) in &trial {
                     delta += v - covers[*bi].0;
-                    for &(_, _, s2) in &covers[*bi].1 {
-                        *delta_uses.entry(s2).or_insert(0) -= 1;
-                    }
-                    for &(_, _, s2) in c {
-                        *delta_uses.entry(s2).or_insert(0) += 1;
+                    let old = covers[*bi].1.iter().map(|&(_, _, s2)| (s2, -1));
+                    for (s2, du) in old.chain(c.iter().map(|&(_, _, s2)| (s2, 1))) {
+                        touched.push(s2);
+                        delta_uses[s2 as usize] += du;
                     }
                 }
                 let mut used_delta = 0i64;
-                for (&s2, &du) in &delta_uses {
+                for &s2 in &touched {
+                    let du = std::mem::take(&mut delta_uses[s2 as usize]);
                     let u0 = uses[s2 as usize];
                     if u0 == 0 && u0 + du > 0 {
                         delta -= entry_cost(s2 as usize);
@@ -876,9 +1436,9 @@ impl Compressor {
                         used_delta -= 1;
                     }
                 }
-                let used_now = uses.iter().filter(|u| **u > 0).count() as i64;
+                touched.clear();
                 if delta > 0 && used_now + used_delta <= budget as i64 {
-                    for (bi, bc) in trial {
+                    for (bi, bc) in trial.drain(..) {
                         for &(_, _, s2) in &covers[bi].1 {
                             uses[s2 as usize] -= 1;
                         }
@@ -887,6 +1447,7 @@ impl Compressor {
                         }
                         covers[bi] = bc;
                     }
+                    used_now += used_delta;
                     improved = true;
                 } else {
                     active[sid] = !active[sid];
@@ -896,19 +1457,11 @@ impl Compressor {
                 break;
             }
         }
-        let cover: Vec<(usize, u32, u32)> = covers
-            .iter()
-            .flat_map(|(_, c)| c.iter().copied())
-            .collect();
+        let cover: Vec<(usize, u32, u32)> =
+            covers.iter().flat_map(|(_, c)| c.iter().copied()).collect();
 
         // Map the final cover back to per-entry instances; tag entries by
         // first planted position.
-        let mut instance_of: HashMap<(u32, usize), Instance> = HashMap::new();
-        for (sid, (_, d)) in shape_list.iter().enumerate() {
-            for inst in &d.instances {
-                instance_of.insert((sid as u32, inst.start), *inst);
-            }
-        }
         let mut order: Vec<u32> = Vec::new();
         let mut taken: HashMap<u32, Vec<Instance>> = HashMap::new();
         for &(start, _, sid) in &cover {
@@ -916,317 +1469,131 @@ impl Compressor {
             if slot.is_empty() {
                 order.push(sid);
             }
-            slot.push(instance_of[&(sid, start)]);
+            let instances = &shape_list[sid as usize].1.instances;
+            let at = instances
+                .binary_search_by_key(&start, |inst| inst.start)
+                .expect("covers place indexed instances");
+            slot.push(instances[at]);
         }
         let selected = order
             .iter()
             .enumerate()
-            .map(|(tag, sid)| (tag as u16, *sid as usize, taken.remove(sid).expect("covered")))
+            .map(|(tag, sid)| {
+                (
+                    tag as u16,
+                    *sid as usize,
+                    taken.remove(sid).expect("covered"),
+                )
+            })
             .collect();
         (shape_list, selected)
     }
 
     /// Iterative pair-merge (BPE/RePair-style) candidate growth: tokenize
     /// every basic block, then repeatedly merge the most frequent
-    /// adjacent token pair, canonicalizing each merged occurrence window
-    /// through [`Compressor::shape_of`] and proposing every eligible
-    /// merged shape as a dictionary candidate. Merging is per occurrence:
-    /// two occurrences of the same symbol pair can canonicalize
-    /// differently once joined (register equality across the seam), so
-    /// the merged symbol is recomputed per window.
-    fn merge_candidates(&self, graph: &Cfg, insts: &[(u64, Inst)]) -> HashSet<Vec<InstSpec>> {
+    /// adjacent token pair, looking each merged occurrence window up in
+    /// the window table and proposing every eligible merged shape as a
+    /// dictionary candidate. Returns the proposals as one flag per shape
+    /// id. Merging is per occurrence: two occurrences of the same symbol
+    /// pair can canonicalize differently once joined (register equality
+    /// across the seam), so the merged symbol is looked up per window.
+    ///
+    /// Pair counts, a lazily pruned max-queue and per-pair occurrence
+    /// lists persist across rounds, so a round costs the occurrences of
+    /// its chosen pair, not a rescan of every stream. Occurrences merge
+    /// left to right and symbols are numbered in first-seen order, which
+    /// the tie-break (lowest symbols first) depends on.
+    fn merge_candidates(
+        &self,
+        graph: &Cfg,
+        insts: &[(u64, Inst)],
+        table: &WindowTable,
+    ) -> Vec<bool> {
         let cfg = &self.config;
-        #[derive(Clone, Copy)]
-        struct Span {
-            start: usize,
-            len: usize,
-            sym: u32,
-        }
-        #[derive(PartialEq, Eq, Hash)]
-        enum SymKey {
-            Shape(Vec<InstSpec>),
-            /// Ineligible single instructions still participate as opaque
-            /// tokens so eligible neighbors can pair across them later.
-            Raw(Inst),
-        }
-
-        let mut proposals: HashSet<Vec<InstSpec>> = HashSet::new();
-        let mut sym_ids: HashMap<SymKey, u32> = HashMap::new();
-        let mut streams: Vec<Vec<Span>> = Vec::with_capacity(graph.blocks.len());
-        let mut idx_base = 0usize;
-        for block in &graph.blocks {
-            let mut stream = Vec::with_capacity(block.insts.len());
-            for i in 0..block.insts.len() {
-                let start = idx_base + i;
-                let key = match self.shape_of(&insts[start..start + 1], start) {
-                    Some((shape, _)) => {
-                        if cfg.min_seq_len <= 1 {
-                            proposals.insert(shape.clone());
-                        }
-                        SymKey::Shape(shape)
-                    }
-                    None => SymKey::Raw(insts[start].1),
-                };
-                let next = sym_ids.len() as u32;
-                let sym = *sym_ids.entry(key).or_insert(next);
-                stream.push(Span { start, len: 1, sym });
+        let n = insts.len();
+        let mut proposals = vec![false; table.num_shapes()];
+        let mut toks = Tokens {
+            max_len: cfg.max_seq_len,
+            sym: vec![NONE; n],
+            len: vec![1; n],
+            prev: vec![NONE; n],
+            end: vec![0; n],
+            pairs: WordMap::default(),
+            queue: BinaryHeap::new(),
+        };
+        // One symbol per shape id, and per distinct ineligible single
+        // instruction: those still participate as opaque tokens so
+        // eligible neighbors can pair across them later.
+        let mut next_sym = 0u32;
+        let mut sym_of_shape = vec![NONE; table.num_shapes()];
+        let mut raw_syms: HashMap<Inst, u32> = HashMap::new();
+        let mut symbol = |slot: &mut u32| {
+            if *slot == NONE {
+                *slot = next_sym;
+                next_sym += 1;
             }
-            streams.push(stream);
-            idx_base += block.insts.len();
+            *slot
+        };
+        let mut base = 0usize;
+        for block in &graph.blocks {
+            let end = base + block.insts.len();
+            for (i, &(_, inst)) in block.insts.iter().enumerate() {
+                let p = base + i;
+                toks.sym[p] = match table.shape(p, 1) {
+                    Some(id) => {
+                        if cfg.min_seq_len <= 1 {
+                            proposals[id as usize] = true;
+                        }
+                        symbol(&mut sym_of_shape[id as usize])
+                    }
+                    None => symbol(raw_syms.entry(inst).or_insert(NONE)),
+                };
+                if i > 0 {
+                    toks.prev[p] = p as u32 - 1;
+                }
+                toks.end[p] = end as u32;
+            }
+            base = end;
+        }
+        for p in 0..n {
+            toks.count(p, true);
         }
 
-        let total: usize = streams.iter().map(|s| s.len()).sum();
-        let mut banned: HashSet<(u32, u32)> = HashSet::new();
-        // Every round either merges (shrinking a stream — at most `total`
+        // Every round either merges (shrinking a stream — at most `n`
         // times) or bans a pair; the cap is a safety net, and candidate
         // completeness is backstopped by the frequency sweep either way.
-        for _round in 0..(2 * total + 64) {
-            let mut pair_freq: HashMap<(u32, u32), u32> = HashMap::new();
-            for stream in &streams {
-                for w in stream.windows(2) {
-                    if w[0].len + w[1].len > cfg.max_seq_len {
-                        continue;
-                    }
-                    let key = (w[0].sym, w[1].sym);
-                    if !banned.contains(&key) {
-                        *pair_freq.entry(key).or_insert(0) += 1;
-                    }
-                }
-            }
-            use std::cmp::Reverse;
-            let Some((&pair, _)) = pair_freq
-                .iter()
-                .filter(|&(_, &c)| c >= 2)
-                .max_by_key(|&(&(a, b), &c)| (c, Reverse(a), Reverse(b)))
-            else {
+        for _round in 0..(2 * n + 64) {
+            let Some(pair) = toks.best() else {
                 break;
             };
+            let mut occ = std::mem::take(&mut toks.pairs.get_mut(&pair).expect("queued").occ);
+            occ.sort_unstable();
             let mut merged_any = false;
-            for stream in &mut streams {
-                let mut out: Vec<Span> = Vec::with_capacity(stream.len());
-                let mut i = 0usize;
-                while i < stream.len() {
-                    let joinable = i + 1 < stream.len()
-                        && (stream[i].sym, stream[i + 1].sym) == pair
-                        && stream[i].len + stream[i + 1].len <= cfg.max_seq_len;
-                    if joinable {
-                        let start = stream[i].start;
-                        let len = stream[i].len + stream[i + 1].len;
-                        if let Some((shape, _)) = self.shape_of(&insts[start..start + len], start)
-                        {
-                            if len >= cfg.min_seq_len {
-                                proposals.insert(shape.clone());
-                            }
-                            let next = sym_ids.len() as u32;
-                            let sym = *sym_ids.entry(SymKey::Shape(shape)).or_insert(next);
-                            out.push(Span { start, len, sym });
-                            merged_any = true;
-                            i += 2;
-                            continue;
-                        }
-                        // An ineligible joined window would only hide its
-                        // halves from other merges — leave the pair split.
-                    }
-                    out.push(stream[i]);
-                    i += 1;
+            let mut unmerged = Vec::new();
+            for p in occ {
+                let p = p as usize;
+                if toks.len[p] == 0 || toks.pair_at(p) != Some(pair) {
+                    continue; // stale, or consumed by the merge to its left
                 }
-                *stream = out;
+                let len = (toks.len[p] + toks.len[p + toks.len[p] as usize]) as usize;
+                match table.shape(p, len) {
+                    Some(id) => {
+                        if len >= cfg.min_seq_len {
+                            proposals[id as usize] = true;
+                        }
+                        toks.merge(p, symbol(&mut sym_of_shape[id as usize]));
+                        merged_any = true;
+                    }
+                    // An ineligible joined window would only hide its
+                    // halves from other merges — leave the pair split.
+                    None => unmerged.push(p as u32),
+                }
             }
-            if !merged_any {
-                banned.insert(pair);
-            }
+            let stat = toks.pairs.get_mut(&pair).expect("queued");
+            stat.occ.extend(unmerged);
+            stat.banned = !merged_any;
         }
         proposals
-    }
-
-    /// Computes the (shape, instance) of one candidate window, or `None`
-    /// if the window is not compressible under this configuration.
-    fn shape_of(
-        &self,
-        window: &[(u64, Inst)],
-        start_idx: usize,
-    ) -> Option<(Vec<InstSpec>, Instance)> {
-        let cfg = &self.config;
-        let last = window.len() - 1;
-        // Eligibility.
-        for (i, (_, inst)) in window.iter().enumerate() {
-            match inst.op.class() {
-                OpClass::Codeword | OpClass::Misc => return None,
-                OpClass::CondBranch | OpClass::UncondBranch
-                    if (!cfg.compress_branches || i != last) => {
-                        return None;
-                    }
-                OpClass::IndirectJump
-                    if (!cfg.allow_jumps || i != last) => {
-                        return None;
-                    }
-                _ => {}
-            }
-        }
-
-        let mut params = [0u8; 3];
-        let mut used = [false; 3];
-        let mut reg_slots: HashMap<dise_isa::Reg, u8> = HashMap::new();
-        let mut imm_slots: HashMap<i64, u8> = HashMap::new();
-        let mut branch_target = None;
-
-        // A terminating PC-relative branch is parameterized one of two
-        // ways. Short offsets go into a fused two-parameter field (the
-        // displacement relative to the planted codeword — the whole
-        // sequence collapses to one instruction). Long offsets that all
-        // point at one shared absolute target (error handlers, common call
-        // targets) instead use an `AbsTarget` directive: the IL computes
-        // the displacement from the trigger's PC at expansion time, so
-        // sites at different addresses still share one dictionary entry.
-        let mut abs_branch_target = None;
-        let branch_pc = match window[last] {
-            (pc, inst)
-                if matches!(
-                    inst.op.class(),
-                    OpClass::CondBranch | OpClass::UncondBranch
-                ) =>
-            {
-                let target = (pc + 4).wrapping_add_signed(inst.imm);
-                let disp_from_cw = target as i64 - (window[0].0 as i64 + 4);
-                if (-(1 << 11)..(1 << 11)).contains(&disp_from_cw) && disp_from_cw % 4 == 0 {
-                    used[1] = true;
-                    used[2] = true;
-                    branch_target = Some(target);
-                    let d10 = ((disp_from_cw >> 2) & 0x3FF) as u32;
-                    params[1] = (d10 & 31) as u8;
-                    params[2] = ((d10 >> 5) & 31) as u8;
-                    Some(pc)
-                } else {
-                    abs_branch_target = Some(target);
-                    Some(pc)
-                }
-            }
-            _ => None,
-        };
-
-        let alloc = |used: &mut [bool; 3]| -> Option<u8> {
-            (0..3u8).find(|s| {
-                if !used[*s as usize] {
-                    used[*s as usize] = true;
-                    true
-                } else {
-                    false
-                }
-            })
-        };
-
-        let mut specs = Vec::with_capacity(window.len());
-        for (i, (_, inst)) in window.iter().enumerate() {
-            let reg_dir = |r: dise_isa::Reg,
-                               params: &mut [u8; 3],
-                               used: &mut [bool; 3],
-                               reg_slots: &mut HashMap<dise_isa::Reg, u8>|
-             -> RegDirective {
-                if !cfg.parameterize || r.is_zero() {
-                    return RegDirective::Literal(r);
-                }
-                if let Some(slot) = reg_slots.get(&r) {
-                    return RegDirective::Param(*slot);
-                }
-                match alloc(used) {
-                    Some(slot) => {
-                        reg_slots.insert(r, slot);
-                        params[slot as usize] = r.index() as u8;
-                        RegDirective::Param(slot)
-                    }
-                    None => RegDirective::Literal(r),
-                }
-            };
-            let is_term_branch = branch_pc.is_some() && i == last;
-            let imm_dir = if is_term_branch {
-                match abs_branch_target {
-                    // The entry carries the *original* absolute target;
-                    // it is remapped to the post-layout address when the
-                    // dictionary is built.
-                    Some(target) => ImmDirective::AbsTarget(target),
-                    None => ImmDirective::Param2 {
-                        lo: 1,
-                        hi: 2,
-                        shift: 2,
-                        signed: true,
-                    },
-                }
-            } else if cfg.parameterize
-                && inst.imm != 0
-                && matches!(
-                    inst.op.format(),
-                    dise_isa::op::Format::Memory | dise_isa::op::Format::Operate
-                )
-            {
-                let (lo, hi, signed) = if inst.uses_lit {
-                    (1, 31, false) // operate literals are unsigned
-                } else {
-                    (-16, 15, true)
-                };
-                if (lo..=hi).contains(&inst.imm) {
-                    if let Some(slot) = imm_slots.get(&inst.imm) {
-                        ImmDirective::Param {
-                            slot: *slot,
-                            shift: 0,
-                            signed,
-                        }
-                    } else {
-                        match alloc(&mut used) {
-                            Some(slot) => {
-                                imm_slots.insert(inst.imm, slot);
-                                params[slot as usize] = (inst.imm & 31) as u8;
-                                ImmDirective::Param {
-                                    slot,
-                                    shift: 0,
-                                    signed,
-                                }
-                            }
-                            None => ImmDirective::Literal(inst.imm),
-                        }
-                    }
-                } else {
-                    ImmDirective::Literal(inst.imm)
-                }
-            } else {
-                ImmDirective::Literal(inst.imm)
-            };
-            specs.push(InstSpec::Templated {
-                op: OpDirective::Literal(inst.op),
-                ra: reg_dir(inst.ra, &mut params, &mut used, &mut reg_slots),
-                rb: reg_dir(inst.rb, &mut params, &mut used, &mut reg_slots),
-                rc: reg_dir(inst.rc, &mut params, &mut used, &mut reg_slots),
-                imm: imm_dir,
-                uses_lit: inst.uses_lit,
-                dise_branch: false,
-            });
-        }
-
-        // Verify: instantiating the shape against the would-be codeword
-        // recreates the original window exactly.
-        #[cfg(debug_assertions)]
-        {
-            let cw = Inst::codeword(cfg.cw_op, params[0], params[1], params[2], 0);
-            let trigger = if cfg.parameterize || branch_pc.is_some() { cw } else { Inst::nop() };
-            for (s, (pc0, orig)) in specs.iter().zip(window) {
-                let inst = s.instantiate(&trigger, window[0].0).expect("shape instantiation");
-                let ok = if branch_pc == Some(*pc0) {
-                    (window[0].0 + 4).wrapping_add_signed(inst.imm)
-                        == (pc0 + 4).wrapping_add_signed(orig.imm)
-                } else { inst == *orig };
-                if !ok {
-                    panic!("SHAPEBUG: spec {s} gave {inst}, expected {orig} (window[0] pc {:#x})", window[0].0);
-                }
-            }
-        }
-        Some((
-            specs,
-            Instance {
-                start: start_idx,
-                pc: window[0].0,
-                params,
-                branch_target,
-            },
-        ))
     }
 }
 
@@ -1313,7 +1680,8 @@ mod tests {
                 let config = config.with_select(select);
                 let c = Compressor::new(config).compress(&p).unwrap();
                 let mut m = Machine::load(&c.program);
-                c.attach(&mut m, EngineConfig::default().perfect_rt()).unwrap();
+                c.attach(&mut m, EngineConfig::default().perfect_rt())
+                    .unwrap();
                 m.set_reg(Reg::R2, data);
                 m.set_reg(Reg::r(4), data + 512);
                 for i in 0..200 {
@@ -1359,7 +1727,8 @@ mod tests {
         // And both still run correctly.
         for c in [no_br, with_br] {
             let mut m = Machine::load(&c.program);
-            c.attach(&mut m, EngineConfig::default().perfect_rt()).unwrap();
+            c.attach(&mut m, EngineConfig::default().perfect_rt())
+                .unwrap();
             m.run(10_000).unwrap();
             assert_eq!(m.reg(Reg::R2), 30, "6 loops x 5 increments");
         }

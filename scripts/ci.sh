@@ -13,6 +13,9 @@
 #             forced-private construction, byte-identical at jobs 1/8)
 #   shadow  — one figure cell with the --shadow lockstep oracle armed
 #             (cache off: warm cells skip simulation and prove nothing)
+#   compress — the compressor's golden byte-identity matrix (release:
+#             all 12 benchmarks × 2 seeds, `ignore`d in debug builds)
+#             and its unit, integration and fuzz-differential suites
 #   snapshot — the bit-identical-resume matrices under --release (they
 #             are `ignore`d in debug builds: minutes-slow unoptimized)
 #             plus a fig6 smoke cell checkpointing at every instruction,
@@ -26,6 +29,8 @@
 #   serve   — the concurrency round-trip also probes the live `stats`
 #             command and validates the job→cell→phase trace exported
 #             from the two-client run
+#   perfbench — the repository benchmark's own Rust and Python
+#             self-tests
 set -e
 cd "$(dirname "$0")/.."
 
@@ -104,6 +109,16 @@ cmp "$ACFTMP/on.json" "$ACFTMP/off.json" || {
     echo "arena-off stats-JSON diverged from the default (arena on)"
     rm -rf "$ACFTMP"; exit 1; }
 rm -rf "$ACFTMP"
+
+echo "== ci: compressor golden matrix + suites ($(date)) =="
+# Compression internals may change only if the compressed programs stay
+# byte-identical: FNV-1a fingerprints of text, dictionary and stats for
+# every benchmark under dise_full v1/v2 and dedicated.
+cargo test --release -q -p dise-acf --test compress_golden -- --include-ignored
+# The compressor's other suites (unit tests, integration tests, the
+# seeded fuzz differential): the tier-1 `cargo test -q` above covers
+# only the root package.
+cargo test --release -q -p dise-acf --lib --test compressor --test fuzz_differential
 
 echo "== ci: snapshot resume ($(date)) =="
 # The differential snapshot fuzz suite, release-only: the two big
@@ -263,5 +278,9 @@ jq -e '
          | (length > 0) and all(. as $p | $cells | index($p) != null))
     ' "$SERVE_TMP/trace.json" > /dev/null || {
     echo "serve trace failed job→cell→phase validation"; exit 1; }
+
+echo "== ci: perfbench self-tests ($(date)) =="
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench/tests
 
 echo "== ci: ok ($(date)) =="
